@@ -23,35 +23,25 @@
 
     At every window boundary the simulator replays the window's logical
     history from the window origin and compares with the base engine's
-    state — the ground-truth serializability check. *)
+    state — the ground-truth serializability check.
+
+    The simulator is a driver of {!Window}, which owns the window
+    handlers; the merge service drives the same module per component. *)
 
 open Repro_txn
 
 type isolation = Strategy1 | Strategy2
-type protocol = Merging of Protocol.merge_config | Reprocessing
+type protocol = Window.protocol = Merging of Protocol.merge_config | Reprocessing
 
-(** Outcome of one merge attempt under a pluggable runner: completed (the
-    report), or abandoned mid-session — a failure mode distinct from the
-    Strategy-1 snapshot anomaly. An aborted attempt leaves the base state
-    untouched; the simulator falls back to reprocessing and counts it in
+(** See {!Window.merge_attempt}: an aborted attempt is counted in
     {!stats.aborted_merges}. *)
-type merge_attempt =
+type merge_attempt = Window.merge_attempt =
   | Merge_completed of Protocol.merge_report
   | Merge_aborted of string  (** abort reason *)
 
-(** How a reconnection's merge is actually carried out. [None] in
-    {!config.merge_runner} calls {!Protocol.merge} directly (a perfect
-    atomic exchange); the fault-injection layer
-    ({!Repro_fault.Session.sync_runner}) substitutes a resumable
-    message-level session over an unreliable transport. *)
-type merge_runner =
-  config:Protocol.merge_config ->
-  params:Cost.params ->
-  base:Repro_db.Engine.t ->
-  base_history:Protocol.base_txn list ->
-  origin:Repro_txn.State.t ->
-  tentative:Repro_history.History.t ->
-  merge_attempt
+(** See {!Window.merge_runner}; [None] in {!config.merge_runner} calls
+    {!Protocol.merge} directly. *)
+type merge_runner = Window.merge_runner
 
 type workload = Trace.workload = {
   initial : State.t;

@@ -1,12 +1,10 @@
 open Repro_txn
 open Repro_history
 module Engine = Repro_db.Engine
-module Builder = Repro_precedence.Builder
-module Summary = Repro_precedence.Summary
-module Protocol = Repro_replication.Protocol
 module Sync = Repro_replication.Sync
 module Cost = Repro_replication.Cost
 module Trace = Repro_replication.Trace
+module Window = Repro_replication.Window
 module Obs = Repro_obs.Obs
 
 (* Telemetry. Coordinator-side metrics below are observed on the main
@@ -97,18 +95,12 @@ type report = {
 (* Per-component worker result. [deltas] are the canonical-base write
    sets in admission order, keyed by window event index. *)
 type comp_result = {
-  r_merges : int;
-  r_saved : int;
-  r_reexecuted : int;
-  r_rejected : int;
-  r_late_sessions : int;
-  r_late_txns : int;
+  r_tally : Window.tally;
   r_violation : bool;
   r_deltas : (int * (Item.t * int) list) list;
   r_latencies : float list;
   r_weight : float;
   r_busy : float;
-  r_cost : Cost.tally;
 }
 
 let quantile sorted q =
@@ -132,94 +124,31 @@ let lpt_makespan ~bins weights =
     Array.fold_left max 0.0 loads
   end
 
-(* One component of one window: an independent serial sub-simulation of
-   exactly the handlers Sync.run applies, against a scratch engine seeded
-   with the full window-origin state. Anything outside the component's
-   items is read-only background to these events (reads of items nobody
-   writes this window see origin values, the same values the serial run
-   shows them), so the scratch outcomes equal the serial ones — the
+(* One component of one window: the window's Strategy 2 handlers
+   ({!Window}, the same code Sync.run drives) applied to exactly the
+   component's events, against a scratch engine seeded with the full
+   window-origin state. Anything outside the component's items is
+   read-only background to these events (reads of items nobody writes
+   this window see origin values, the same values the serial run shows
+   them), so the scratch outcomes equal the serial ones — the
    correctness argument is spelled out in docs/SERVICE.md. *)
 let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
     ~(events : Admission.wevent array) ~members =
   let t_start = Unix.gettimeofday () in
   let origin = origins.(window_index) in
   let engine = Engine.create origin in
-  let logical : Protocol.base_txn list ref = ref [] in
-  let builder = ref (Builder.create ()) in
-  let summary_of_base (bt : Protocol.base_txn) =
-    Summary.of_record ~kind:Summary.Base bt.Protocol.record
+  let tally = Window.tally () in
+  let window =
+    Window.create ~incremental:true ~protocol:sync.Sync.protocol ~params:sync.Sync.params
+      ~base:engine ~origin ~index:window_index tally
   in
-  let builder_append txns =
-    List.iter (fun bt -> Builder.add !builder (summary_of_base bt)) txns
-  in
-  let builder_rebuild () =
-    let b = Builder.create () in
-    List.iter (fun bt -> Builder.add b (summary_of_base bt)) !logical;
-    builder := b
-  in
-  let cost = Cost.zero () in
-  let merges = ref 0
-  and saved = ref 0
-  and reexecuted = ref 0
-  and rejected = ref 0
-  and late_sessions = ref 0
-  and late_txns = ref 0 in
   let deltas = ref [] in
   let latencies = ref [] in
-  let count_txn_reports txns =
-    List.iter
-      (fun (r : Protocol.txn_report) ->
-        match r.Protocol.outcome with
-        | Protocol.Merged -> incr saved
-        | Protocol.Reexecuted -> incr reexecuted
-        | Protocol.Rejected -> incr rejected)
-      txns
-  in
-  let acceptance =
-    match sync.Sync.protocol with
-    | Sync.Merging mc -> mc.Protocol.acceptance
-    | Sync.Reprocessing -> Protocol.accept_always
-  in
-  let reprocess ~origin history =
-    let report =
-      Protocol.reprocess ~acceptance ~params:sync.Sync.params ~base:engine ~origin
-        ~tentative:history
-    in
-    logical := !logical @ report.Protocol.appended;
-    builder_append report.Protocol.appended;
-    count_txn_reports report.Protocol.txns;
-    Cost.add cost report.Protocol.cost
-  in
-  let handle_session (s : Admission.session) =
-    let history = History.of_programs s.programs in
-    match sync.Sync.protocol with
-    | Sync.Reprocessing -> reprocess ~origin:origins.(s.window_started) history
-    | Sync.Merging mc ->
-        if s.window_started < window_index then begin
-          incr late_sessions;
-          late_txns := !late_txns + History.length history;
-          reprocess ~origin:origins.(s.window_started) history
-        end
-        else begin
-          let report =
-            Protocol.merge ~base_builder:!builder ~config:mc ~params:sync.Sync.params
-              ~base:engine ~base_history:!logical ~origin ~tentative:history ()
-          in
-          logical := report.Protocol.new_history;
-          builder_rebuild ();
-          incr merges;
-          count_txn_reports report.Protocol.txns;
-          Cost.add cost report.Protocol.cost
-        end
-  in
   List.iter
     (fun idx ->
       match events.(idx) with
       | Admission.Base { program; _ } ->
-          let record = Engine.execute engine program in
-          let bt = { Protocol.program; Protocol.record } in
-          logical := !logical @ [ bt ];
-          builder_append [ bt ];
+          let record = Window.base_txn window program in
           let writes =
             List.filter_map
               (fun (x, before, v) -> if before <> v then Some (x, v) else None)
@@ -230,7 +159,8 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
           let t0 = Unix.gettimeofday () in
           let before = Engine.state engine in
           Obs.Span.with_ ~lane:Obs.Event.Base ~name:"service.session" (fun () ->
-              handle_session s);
+              Window.session window ~started:s.window_started ~origin:origins.(s.window_started)
+                (History.of_programs s.programs));
           let after = Engine.state engine in
           let writes =
             Item.Set.fold
@@ -243,15 +173,10 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
           latencies := (Unix.gettimeofday () -. t0) :: !latencies)
     members;
   (* Per-component ground-truth serializability check, the component
-     slice of Sync's window check: the component's logical history must
-     replay from the window origin to the scratch engine's state. Both
-     sides start at [origin] and only write inside the component's static
-     write footprint, so comparing on that footprint is the full
-     equality — and keeps the check O(footprint), not O(state). *)
-  let replayed =
-    List.fold_left (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program) origin
-      !logical
-  in
+     slice of Sync's window check. Both sides start at [origin] and only
+     write inside the component's static write footprint, so comparing on
+     that footprint is the full equality — and keeps the check
+     O(footprint), not O(state). *)
   let written =
     List.fold_left
       (fun acc idx ->
@@ -260,21 +185,14 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
         | Admission.Session s -> Item.Set.union acc s.Admission.writes)
       Item.Set.empty members
   in
-  let violation = not (State.equal_on written replayed (Engine.state engine)) in
-  let busy = Unix.gettimeofday () -. t_start in
+  let violation = not (Window.check ~on:written window) in
   {
-    r_merges = !merges;
-    r_saved = !saved;
-    r_reexecuted = !reexecuted;
-    r_rejected = !rejected;
-    r_late_sessions = !late_sessions;
-    r_late_txns = !late_txns;
+    r_tally = tally;
     r_violation = violation;
     r_deltas = List.rev !deltas;
     r_latencies = List.rev !latencies;
-    r_weight = Cost.total cost +. float_of_int (List.length members);
-    r_busy = busy;
-    r_cost = cost;
+    r_weight = Cost.total tally.Window.cost +. float_of_int (List.length members);
+    r_busy = Unix.gettimeofday () -. t_start;
   }
 
 let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
@@ -295,14 +213,8 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
   let windows, base_txns, tentative_txns = Admission.windows ~seed:config.seed trace in
   let n_windows = List.length windows in
   let origins = Array.make (n_windows + 1) workload.Trace.initial in
-  let cost = Cost.zero () in
+  let tally = Window.tally () in
   let sessions = ref 0
-  and merges = ref 0
-  and saved = ref 0
-  and reexecuted = ref 0
-  and rejected = ref 0
-  and late_sessions = ref 0
-  and late_txns = ref 0
   and violations = ref 0
   and components = ref 0
   and parallel_windows = ref 0
@@ -375,13 +287,7 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
     let win_worker_busy = Array.make config.domains 0.0 in
     Array.iter
       (fun (r, _, worker) ->
-        merges := !merges + r.r_merges;
-        saved := !saved + r.r_saved;
-        reexecuted := !reexecuted + r.r_reexecuted;
-        rejected := !rejected + r.r_rejected;
-        late_sessions := !late_sessions + r.r_late_sessions;
-        late_txns := !late_txns + r.r_late_txns;
-        Cost.add cost r.r_cost;
+        Window.add tally r.r_tally;
         work_s := !work_s +. r.r_busy;
         latencies := List.rev_append r.r_latencies !latencies;
         weights := r.r_weight :: !weights;
@@ -412,8 +318,8 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
     Array.iter (fun c -> Obs.Dist.observe_int obs_comp_sessions c.Dispatch.sessions) comp_arr;
     Array.iter
       (fun (r, _, _) ->
-        Obs.Counter.incr ~by:r.r_merges obs_merges;
-        Obs.Counter.incr ~by:r.r_late_sessions obs_late;
+        Obs.Counter.incr ~by:r.r_tally.Window.merges obs_merges;
+        Obs.Counter.incr ~by:r.r_tally.Window.late_sessions obs_late;
         if r.r_violation then Obs.Counter.incr obs_violations;
         List.iter (fun l -> Obs.Dist.observe obs_latency (l *. 1e6)) r.r_latencies)
       results;
@@ -480,12 +386,12 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
     det =
       {
         sessions = !sessions;
-        merges = !merges;
-        saved = !saved;
-        reexecuted = !reexecuted;
-        rejected = !rejected;
-        late_sessions = !late_sessions;
-        late_txns = !late_txns;
+        merges = tally.Window.merges;
+        saved = tally.Window.saved;
+        reexecuted = tally.Window.reexecuted;
+        rejected = tally.Window.rejected;
+        late_sessions = tally.Window.late_sessions;
+        late_txns = tally.Window.late_txns;
         base_txns;
         tentative_txns;
         windows = n_windows;
@@ -494,7 +400,7 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
         parallel_windows = !parallel_windows;
         shard_conflicted_sessions = !shard_conflicted;
         item_conflicted_sessions = !item_conflicted;
-        cost_total = Cost.total cost;
+        cost_total = Cost.total tally.Window.cost;
         final_base = Engine.state canonical;
       };
     speedup = (if !critical_path > 0.0 then !total_weight /. !critical_path else 1.0);
@@ -507,7 +413,7 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
         p99_us = quantile sorted_us 0.99;
         p999_us = quantile sorted_us 0.999;
       };
-    cost;
+    cost = tally.Window.cost;
     breakdown =
       {
         bd_shard_sessions;

@@ -156,6 +156,9 @@ let case_of_seed seed =
       Sync.connect_alpha = (if seed mod 3 = 0 then Some 1.7 else None);
       Sync.mean_mobile_txn_gap = 2.0;
       Sync.isolation = Sync.Strategy2;
+      (* Every 5th case reprocesses instead of merging. *)
+      Sync.protocol =
+        (if seed mod 5 = 0 then Sync.Reprocessing else Sync.default_config.Sync.protocol);
       Sync.seed;
     }
   in
