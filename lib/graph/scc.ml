@@ -1,53 +1,82 @@
-let components g =
-  let n = List.length (Digraph.nodes g) in
-  ignore n;
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
-  let stack = ref [] in
+(* Tarjan's algorithm with explicit stacks over int arrays. A DFS frame is
+   a node plus the next stored-successor slot to scan, so the walk visits
+   exactly what the textbook recursion visits, in the same order: roots in
+   increasing order, successors in insertion order. [on_component] gets
+   each component as it completes, members in discovery order. *)
+let tarjan g on_component =
+  let n = Digraph.size g in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let frame_node = Array.make n 0 and frame_slot = Array.make n 0 and fp = ref 0 in
   let next_index = ref 0 in
-  let comps = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !next_index;
-    Hashtbl.replace lowlink v !next_index;
+  let enter v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (Digraph.successors g v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    frame_node.(!fp) <- v;
+    frame_slot.(!fp) <- 0;
+    incr fp
+  in
+  let finish v =
+    if lowlink.(v) = index.(v) then begin
       let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.remove on_stack w;
-          if w = v then w :: acc else pop (w :: acc)
+        decr sp;
+        let w = stack.(!sp) in
+        on_stack.(w) <- false;
+        if w = v then w :: acc else pop (w :: acc)
       in
-      comps := pop [] :: !comps
+      on_component (pop [])
     end
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) (Digraph.nodes g);
+  for root = 0 to n - 1 do
+    if Digraph.mem_node g root && index.(root) < 0 then begin
+      enter root;
+      while !fp > 0 do
+        let top = !fp - 1 in
+        let v = frame_node.(top) and k = frame_slot.(top) in
+        if k < Digraph.stored_out_degree g v then begin
+          frame_slot.(top) <- k + 1;
+          let w = Digraph.stored_successor g v k in
+          if Digraph.mem_node g w then
+            if index.(w) < 0 then enter w
+            else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+        end
+        else begin
+          fp := top;
+          finish v;
+          if top > 0 then begin
+            let u = frame_node.(top - 1) in
+            lowlink.(u) <- min lowlink.(u) lowlink.(v)
+          end
+        end
+      done
+    end
+  done
+
+let components g =
+  let comps = ref [] in
+  tarjan g (fun comp -> comps := comp :: !comps);
   !comps
 
-let nodes_on_cycles g =
-  let cyclic = Hashtbl.create 64 in
-  List.iter
-    (fun comp ->
-      match comp with
-      | [ v ] -> if Digraph.mem_edge g v v then Hashtbl.replace cyclic v ()
-      | vs -> List.iter (fun v -> Hashtbl.replace cyclic v ()) vs)
-    (components g);
-  List.filter (Hashtbl.mem cyclic) (Digraph.nodes g)
+let is_cyclic_component g = function [ v ] -> Digraph.mem_edge g v v | _ -> true
 
-let is_acyclic g = nodes_on_cycles g = []
+let nodes_on_cycles g =
+  let cyclic = Array.make (Digraph.size g) false in
+  tarjan g (fun comp ->
+      if is_cyclic_component g comp then List.iter (fun v -> cyclic.(v) <- true) comp);
+  List.filter (fun v -> cyclic.(v)) (Digraph.nodes g)
+
+exception Cyclic
+
+let is_acyclic g =
+  match tarjan g (fun comp -> if is_cyclic_component g comp then raise Cyclic) with
+  | () -> true
+  | exception Cyclic -> false
 
 let two_cycles g =
   List.filter_map
@@ -64,9 +93,8 @@ let cycles ?(limit = 10_000) g =
     incr count;
     if !count >= limit then raise Limit_reached
   in
-  let comp_of = Hashtbl.create 64 in
-  List.iteri (fun i comp -> List.iter (fun v -> Hashtbl.replace comp_of v i) comp) (components g);
-  let same_comp u v = Hashtbl.find comp_of u = Hashtbl.find comp_of v in
+  let comp_of = Array.make (Digraph.size g) (-1) in
+  List.iteri (fun i comp -> List.iter (fun v -> comp_of.(v) <- i) comp) (components g);
   (* Enumerate elementary cycles whose smallest node is [start]: DFS through
      nodes >= start staying within start's component. *)
   let enumerate start =
@@ -74,7 +102,7 @@ let cycles ?(limit = 10_000) g =
       List.iter
         (fun w ->
           if w = start then emit (List.rev (v :: path))
-          else if w > start && (not (List.mem w on_path)) && same_comp start w then
+          else if w > start && (not (List.mem w on_path)) && comp_of.(start) = comp_of.(w) then
             dfs w (v :: path) (w :: on_path))
         (Digraph.successors g v)
     in

@@ -1,21 +1,27 @@
-(** Strongly connected components (Tarjan's algorithm, iterative) and the
-    cycle queries the back-out strategies need. *)
+(** Strongly connected components (Tarjan's algorithm, iterative over int
+    arrays, so deep graphs cannot overflow the stack) and the cycle queries
+    the back-out strategies need. All of them see only live nodes, so they
+    run unchanged on a {!Digraph.view} with nodes removed. *)
 
 (** The strongly connected components of the graph, each as a list of
-    nodes; components are returned in reverse topological order of the
-    condensation. *)
+    nodes in DFS discovery order. Tarjan completes components in reverse
+    topological order of the condensation and this list reverses that, so
+    every edge between two components points from an earlier one to a
+    later one. *)
 val components : Digraph.t -> int list list
 
-(** A node lies on a cycle iff its component has ≥ 2 nodes or it has a
-    self-edge. *)
+(** Live nodes lying on a cycle, in increasing order. A node lies on a
+    cycle iff its component has ≥ 2 nodes or it has a self-edge. *)
 val nodes_on_cycles : Digraph.t -> int list
 
-(** [is_acyclic g] — no node lies on a cycle. *)
+(** [is_acyclic g] — no node lies on a cycle. Stops at the first cyclic
+    component. *)
 val is_acyclic : Digraph.t -> bool
 
 (** [two_cycles g] — all unordered pairs [(u, v)], [u < v], with both
-    [u -> v] and [v -> u]. Davidson's "breaking two-cycles optimally"
-    strategy consumes these. *)
+    [u -> v] and [v -> u], ordered by [u], then by the insertion order of
+    [u -> v]. Davidson's "breaking two-cycles optimally" strategy
+    consumes these. *)
 val two_cycles : Digraph.t -> (int * int) list
 
 (** [cycles ?limit g] enumerates elementary cycles (as node lists) up to

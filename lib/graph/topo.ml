@@ -1,30 +1,28 @@
-module Int_set = Set.Make (Int)
+(* Kahn's algorithm over an indegree array, with a sorted-set frontier for
+   deterministic tie-breaking. *)
+let sort ?(rank = Fun.id) g =
+  let n = Digraph.size g in
+  let key = Array.init n rank in
+  let module Frontier = Set.Make (struct
+    type t = int
 
-(* Kahn's algorithm with a sorted-set frontier for deterministic,
-   smallest-identifier-first tie-breaking. *)
-let sort g =
-  let nodes = Digraph.nodes g in
-  let indegree = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace indegree v (List.length (Digraph.predecessors g v))) nodes;
+    let compare a b = match Int.compare key.(a) key.(b) with 0 -> Int.compare a b | c -> c
+  end) in
+  let indegree = Array.init n (Digraph.in_degree g) in
   let initial =
     List.fold_left
-      (fun acc v -> if Hashtbl.find indegree v = 0 then Int_set.add v acc else acc)
-      Int_set.empty nodes
+      (fun acc v -> if indegree.(v) = 0 then Frontier.add v acc else acc)
+      Frontier.empty (Digraph.nodes g)
   in
   let rec drain frontier acc taken =
-    match Int_set.min_elt_opt frontier with
-    | None -> if taken = List.length nodes then Some (List.rev acc) else None
+    match Frontier.min_elt_opt frontier with
+    | None -> if taken = Digraph.node_count g then Some (List.rev acc) else None
     | Some v ->
-      let frontier = Int_set.remove v frontier in
-      let frontier =
-        List.fold_left
-          (fun fr w ->
-            let d = Hashtbl.find indegree w - 1 in
-            Hashtbl.replace indegree w d;
-            if d = 0 then Int_set.add w fr else fr)
-          frontier (Digraph.successors g v)
-      in
-      drain frontier (v :: acc) (taken + 1)
+      let frontier = ref (Frontier.remove v frontier) in
+      Digraph.iter_successors g v (fun w ->
+          indegree.(w) <- indegree.(w) - 1;
+          if indegree.(w) = 0 then frontier := Frontier.add w !frontier);
+      drain !frontier (v :: acc) (taken + 1)
   in
   drain initial [] 0
 

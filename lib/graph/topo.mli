@@ -4,10 +4,12 @@
     the merged transactions compatible with the (acyclic, reduced)
     precedence graph; [sort] produces one. *)
 
-(** [sort g] is [Some order] — the live nodes in a topological order of
-    [g] — or [None] if [g] is cyclic. Ties are broken by smallest node
-    identifier, making the order deterministic. *)
-val sort : Digraph.t -> int list option
+(** [sort ?rank g] is [Some order] — the live nodes in a topological order
+    of [g] — or [None] if [g] is cyclic. Whenever several nodes are ready,
+    the one with the smallest [rank v] goes first, then the smallest
+    identifier; [rank] defaults to the identifier, so by default the
+    order is the smallest-identifier-first one. *)
+val sort : ?rank:(int -> int) -> Digraph.t -> int list option
 
 (** [sort_exn g] is [sort g] or
     @raise Invalid_argument when the graph is cyclic. *)

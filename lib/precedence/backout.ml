@@ -45,78 +45,53 @@ let breaks_all_cycles pg names = Scc.is_acyclic (Precedence.reduced pg ~removed:
 
 let all_in_cycles pg = Precedence.tentative_on_cycles pg
 
-(* Greedy feedback vertex set restricted to tentative nodes: while the
-   reduced graph has a cycle, remove the tentative node with the largest
-   (in+out) degree within its cyclic component. *)
-let greedy pg ~already_removed =
-  let removed = ref already_removed in
-  let rec loop () =
-    let g = Precedence.reduced pg ~removed:!removed in
+(* The greedy strategies share one loop over a removal-mask view of the
+   graph: while it has a cycle, [pick] chooses a victim among the cyclic
+   tentative nodes (in increasing order), which leaves the view. Returns
+   the victims' names. *)
+let greedy_loop pg ~already_removed ~pick =
+  let g = Precedence.reduced pg ~removed:already_removed in
+  let rec loop removed =
     match Scc.nodes_on_cycles g with
-    | [] -> ()
-    | cyclic ->
-      let tentative_cyclic =
-        List.filter (fun i -> Summary.is_tentative (Precedence.summary_of_node pg i)) cyclic
-      in
-      (match tentative_cyclic with
+    | [] -> removed
+    | cyclic -> (
+      match List.filter (fun i -> Summary.is_tentative (Precedence.summary_of_node pg i)) cyclic with
       | [] -> invalid_arg "Backout: cycle without tentative transaction"
-      | _ ->
-        let degree i =
-          List.length (Digraph.successors g i) + List.length (Digraph.predecessors g i)
-        in
-        let best =
-          List.fold_left
-            (fun acc i -> match acc with
-              | Some j when degree j >= degree i -> acc
-              | _ -> Some i)
-            None tentative_cyclic
-        in
-        (match best with
-        | Some i ->
-          removed := Names.Set.add (name_of pg i) !removed;
-          loop ()
-        | None -> assert false))
+      | candidates ->
+        let i = pick g removed candidates in
+        Digraph.remove_node g i;
+        loop (Names.Set.add (name_of pg i) removed))
   in
-  loop ();
-  Names.Set.diff !removed already_removed
+  loop Names.Set.empty
+
+(* The first candidate minimizing [cost]. *)
+let argmin cost = function
+  | [] -> assert false
+  | first :: rest ->
+    fst
+      (List.fold_left
+         (fun (best, best_cost) i ->
+           let c = cost i in
+           if c < best_cost then (i, c) else (best, best_cost))
+         (first, cost first) rest)
+
+(* Greedy feedback vertex set restricted to tentative nodes: remove the
+   tentative node with the largest (in+out) degree within the remaining
+   graph. *)
+let greedy pg ~already_removed =
+  greedy_loop pg ~already_removed ~pick:(fun g _ ->
+      argmin (fun i -> -(Digraph.out_degree g i + Digraph.in_degree g i)))
 
 (* Greedy on damage: the victim minimizing |B ∪ closure(B)| after its
    removal, where the closure runs over the tentative summaries in history
-   order. Falls back to degree on ties via list order. *)
+   order. Ties go to the smallest node identifier. *)
 let greedy_damage pg =
   let tentative_summaries =
     List.filter Summary.is_tentative (Array.to_list (Precedence.summaries pg))
   in
   let damage bad = Names.Set.cardinal (Affected.closure tentative_summaries ~bad) in
-  let removed = ref Names.Set.empty in
-  let rec loop () =
-    let g = Precedence.reduced pg ~removed:!removed in
-    match Scc.nodes_on_cycles g with
-    | [] -> ()
-    | cyclic ->
-      let candidates =
-        List.filter (fun i -> Summary.is_tentative (Precedence.summary_of_node pg i)) cyclic
-      in
-      (match candidates with
-      | [] -> invalid_arg "Backout: cycle without tentative transaction"
-      | _ ->
-        let best =
-          List.fold_left
-            (fun acc i ->
-              let cost = damage (Names.Set.add (name_of pg i) !removed) in
-              match acc with
-              | Some (_, best_cost) when best_cost <= cost -> acc
-              | _ -> Some (i, cost))
-            None candidates
-        in
-        (match best with
-        | Some (i, _) ->
-          removed := Names.Set.add (name_of pg i) !removed;
-          loop ()
-        | None -> assert false))
-  in
-  loop ();
-  !removed
+  greedy_loop pg ~already_removed:Names.Set.empty ~pick:(fun _ removed ->
+      argmin (fun i -> damage (Names.Set.add (name_of pg i) removed)))
 
 let two_cycle_then_greedy pg =
   let g = Precedence.graph pg in
@@ -140,8 +115,8 @@ let two_cycle_then_greedy pg =
    of cyclic components, reindexed into dense arrays with only
    same-component edges kept. Acyclifying every component independently
    acyclifies the whole graph, and the masked DFS feasibility check below
-   costs O(core) per candidate set instead of an induced-graph copy plus
-   a hashtable Tarjan run — the difference between the 26s E6 cliff and a
+   costs O(core) per candidate set instead of an O(V + E) pass over the
+   whole graph — the difference between the 26s E6 cliff and a
    sub-second sweep. *)
 module Core = struct
   type t = {
@@ -163,7 +138,7 @@ module Core = struct
     let n = List.fold_left (fun acc c -> acc + List.length c) 0 cyclic_comps in
     let node = Array.make n 0 in
     let comp = Array.make n 0 in
-    let idx = Hashtbl.create (2 * max 1 n) in
+    let idx = Array.make (Digraph.size g) (-1) in
     let k = ref 0 and cid = ref 0 in
     List.iter
       (fun c ->
@@ -171,7 +146,7 @@ module Core = struct
           (fun v ->
             node.(!k) <- v;
             comp.(!k) <- !cid;
-            Hashtbl.replace idx v !k;
+            idx.(v) <- !k;
             incr k)
           c;
         incr cid)
@@ -184,9 +159,8 @@ module Core = struct
       Array.init n (fun i ->
           Digraph.successors g node.(i)
           |> List.filter_map (fun w ->
-                 match Hashtbl.find_opt idx w with
-                 | Some j when comp.(j) = comp.(i) -> Some j
-                 | _ -> None)
+                 let j = idx.(w) in
+                 if j >= 0 && comp.(j) = comp.(i) then Some j else None)
           |> Array.of_list)
     in
     { n; name; tentative; succ; comp; n_comps = !cid }

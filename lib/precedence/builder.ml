@@ -13,8 +13,9 @@ let obs_updates = Obs.Counter.make "precedence.incremental_updates"
    that extends an already-seen base history pays only for the delta. *)
 type t = {
   mutable summaries : Summary.t array;  (* slots [0 .. n-1] live *)
-  mutable succ : int list array;
-  mutable pred : int list array;
+  mutable succ : int list array;  (* reverse insertion order *)
+  mutable mark : int array;  (* per-node visit stamp, see [next_stamp] *)
+  mutable stamp : int;
   mutable n : int;
   mutable edges : int;
   mutable tentative_count : int;
@@ -31,7 +32,8 @@ let create () =
   {
     summaries = Array.make 8 dummy_summary;
     succ = Array.make 8 [];
-    pred = Array.make 8 [];
+    mark = Array.make 8 (-1);
+    stamp = -1;
     n = 0;
     edges = 0;
     tentative_count = 0;
@@ -45,7 +47,8 @@ let clone t =
   {
     summaries = Array.copy t.summaries;
     succ = Array.copy t.succ;
-    pred = Array.copy t.pred;
+    mark = Array.copy t.mark;
+    stamp = t.stamp;
     n = t.n;
     edges = t.edges;
     tentative_count = t.tentative_count;
@@ -68,31 +71,36 @@ let grow t =
     let succ = Array.make cap' [] in
     Array.blit t.succ 0 succ 0 t.n;
     t.succ <- succ;
-    let pred = Array.make cap' [] in
-    Array.blit t.pred 0 pred 0 t.n;
-    t.pred <- pred
+    let mark = Array.make cap' (-1) in
+    Array.blit t.mark 0 mark 0 t.n;
+    t.mark <- mark
   end
 
 let add_edge t u v =
   t.succ.(u) <- v :: t.succ.(u);
-  t.pred.(v) <- u :: t.pred.(v);
   t.edges <- t.edges + 1
 
 let touching tbl item = match Hashtbl.find_opt tbl item with Some l -> l | None -> []
+
+(* A stamp no node carries yet: a node is marked in the current scan iff
+   [t.mark.(u) = stamp], so starting a scan clears no array. *)
+let next_stamp t =
+  t.stamp <- t.stamp + 1;
+  t.stamp
 
 (* Does some path [v -> ... -> v] exist? Any cycle created by adding [v]
    must pass through [v] (all new edges are incident to it), so a DFS
    from [v] suffices — and once cyclic the builder stays cyclic, since
    nodes are never removed. *)
 let creates_cycle t v =
-  let seen = Hashtbl.create 32 in
+  let stamp = next_stamp t in
   let rec reaches_v u =
     List.exists
       (fun w ->
         if w = v then true
-        else if Hashtbl.mem seen w then false
+        else if t.mark.(w) = stamp then false
         else begin
-          Hashtbl.add seen w ();
+          t.mark.(w) <- stamp;
           reaches_v w
         end)
       t.succ.(u)
@@ -110,11 +118,11 @@ let add t (s : Summary.t) =
   if Summary.is_tentative s then t.tentative_count <- t.tentative_count + 1;
   (* Earlier transactions sharing an item with [s]; only these can gain
      an edge. Deduped because one partner may share several items. *)
-  let mark = Hashtbl.create 16 in
+  let stamp = next_stamp t in
   let partners = ref [] in
   let consider u =
-    if not (Hashtbl.mem mark u) then begin
-      Hashtbl.add mark u ();
+    if t.mark.(u) <> stamp then begin
+      t.mark.(u) <- stamp;
       partners := u :: !partners
     end
   in

@@ -45,8 +45,8 @@ let build ~tentative ~base =
   for i = 0 to m - 1 do
     for j = m to n - 1 do
       let tm = summaries.(i) and tb = summaries.(j) in
-      if not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) then
-        Digraph.add_edge graph i j;
+      let t_to_b = not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) in
+      if t_to_b then Digraph.add_edge graph i j;
       if not (Item.Set.disjoint tb.Summary.readset tm.Summary.writeset) then
         Digraph.add_edge graph j i;
       (* Blind-write adaptation: a write-write overlap with no read on
@@ -55,10 +55,8 @@ let build ~tentative ~base =
          base transaction first (the tentative write wins, matching the
          protocol's forwarded updates). With no blind writes this never
          fires: writeset ⊆ readset makes the overlap a two-cycle above. *)
-      if
-        (not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset))
-        && not (Digraph.mem_edge graph i j)
-      then Digraph.add_edge graph j i
+      if (not t_to_b) && not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset) then
+        Digraph.add_edge graph j i
     done
   done;
   Obs.Counter.incr obs_builds;
@@ -118,8 +116,11 @@ let tentative_on_cycles t =
     (Scc.nodes_on_cycles t.graph)
 
 let reduced t ~removed =
-  Digraph.induced t.graph (fun i ->
-      not (Names.Set.mem t.summaries.(i).Summary.name removed))
+  let g = Digraph.view t.graph in
+  Names.Set.iter
+    (fun name -> Option.iter (Digraph.remove_node g) (Hashtbl.find_opt t.index name))
+    removed;
+  g
 
 let merge_order t ~removed =
   Option.map

@@ -64,8 +64,10 @@ val is_acyclic : t -> bool
 (** Names of tentative transactions lying on at least one cycle. *)
 val tentative_on_cycles : t -> Repro_history.Names.Set.t
 
-(** [reduced t ~removed] — the graph induced by dropping the named
-    transactions (used to check that a candidate B breaks all cycles). *)
+(** [reduced t ~removed] — the graph without the named transactions
+    (names not in the graph are ignored), as a {!Repro_graph.Digraph.view}
+    of {!graph}: O(n + |removed|), no edge copied. Used to check that a
+    candidate B breaks all cycles and to order the merged history. *)
 val reduced : t -> removed:Repro_history.Names.Set.t -> Repro_graph.Digraph.t
 
 (** [merge_order t ~removed] — a serial order (names) of the remaining

@@ -4,6 +4,7 @@ open Repro_precedence
 open Repro_rewrite
 module Engine = Repro_db.Engine
 module Digraph = Repro_graph.Digraph
+module Topo = Repro_graph.Topo
 module Obs = Repro_obs.Obs
 
 let obs_merges = Obs.Counter.make "protocol.merges"
@@ -88,47 +89,14 @@ let stmt_count (p : Program.t) = stmt_count_list p.Program.body
 (* A topological order of the reduced precedence graph that disturbs the
    existing base history as little as possible: base transactions are
    emitted in their original order whenever available, tentative ones only
-   when an edge forces them earlier (or at the end). *)
+   when an edge forces them earlier (or at the end): among ready nodes,
+   base before tentative, then the smallest identifier. *)
 let stable_merge_order pg ~removed =
-  let g = Precedence.reduced pg ~removed in
-  let nodes = Digraph.nodes g in
-  let indegree = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace indegree v (List.length (Digraph.predecessors g v))) nodes;
-  let better a b =
-    let ta = Summary.is_tentative (Precedence.summary_of_node pg a) in
-    let tb = Summary.is_tentative (Precedence.summary_of_node pg b) in
-    match (ta, tb) with
-    | false, true -> true
-    | true, false -> false
-    | _ -> a < b
-  in
-  let rec drain available acc remaining =
-    if remaining = 0 then List.rev acc
-    else
-      let next =
-        List.fold_left
-          (fun best v ->
-            match best with Some b when better b v -> best | _ -> Some v)
-          None available
-      in
-      match next with
-      | None -> invalid_arg "stable_merge_order: graph is cyclic"
-      | Some v ->
-        let available = List.filter (fun w -> w <> v) available in
-        let newly =
-          List.filter
-            (fun w ->
-              let d = Hashtbl.find indegree w - 1 in
-              Hashtbl.replace indegree w d;
-              d = 0)
-            (Digraph.successors g v)
-        in
-        drain (available @ newly) (v :: acc) (remaining - 1)
-  in
-  let initial = List.filter (fun v -> Hashtbl.find indegree v = 0) nodes in
-  List.map
-    (fun v -> (Precedence.summary_of_node pg v).Summary.name)
-    (drain initial [] (List.length nodes))
+  let n = Array.length (Precedence.summaries pg) in
+  let rank v = if Summary.is_tentative (Precedence.summary_of_node pg v) then n + v else v in
+  match Topo.sort ~rank (Precedence.reduced pg ~removed) with
+  | Some order -> List.map (fun v -> (Precedence.summary_of_node pg v).Summary.name) order
+  | None -> invalid_arg "stable_merge_order: graph is cyclic"
 
 let reexecute_one ?(durably = true) ~acceptance ~params ~base ~tentative_exec ~cost
     (program : Program.t) =
@@ -215,21 +183,19 @@ let analyze_graph ?base_builder ~strategy ~params ~cost ~base_history ~origin ~t
         acc + Item.Set.cardinal s.Summary.readset + Item.Set.cardinal s.Summary.writeset)
       0 tent_summaries
   in
-  let tentative_names = History.name_set tentative in
-  let intra_tentative_edges =
-    List.length
-      (List.filter
-         (fun (u, v) ->
-           Names.Set.mem (Precedence.summary_of_node pg u).Summary.name tentative_names
-           && Names.Set.mem (Precedence.summary_of_node pg v).Summary.name tentative_names)
-         (Digraph.edges (Precedence.graph pg)))
-  in
+  let graph = Precedence.graph pg in
+  let tentative i = Summary.is_tentative (Precedence.summary_of_node pg i) in
+  let intra_tentative_edges = ref 0 in
+  for u = 0 to Digraph.size graph - 1 do
+    if tentative u then
+      Digraph.iter_successors graph u (fun v -> if tentative v then incr intra_tentative_edges)
+  done;
   cost.Cost.communication <-
     cost.Cost.communication
-    +. (params.Cost.comm_per_unit *. float_of_int (rwset_units + intra_tentative_edges));
+    +. (params.Cost.comm_per_unit *. float_of_int (rwset_units + !intra_tentative_edges));
   cost.Cost.base_cpu <-
     cost.Cost.base_cpu
-    +. (params.Cost.graph_per_edge *. float_of_int (Digraph.edge_count (Precedence.graph pg)));
+    +. (params.Cost.graph_per_edge *. float_of_int (Digraph.edge_count graph));
   (* Step 2: compute B. *)
   let bad =
     if Precedence.is_acyclic pg then Names.Set.empty
@@ -237,7 +203,7 @@ let analyze_graph ?base_builder ~strategy ~params ~cost ~base_history ~origin ~t
       cost.Cost.base_cpu <-
         cost.Cost.base_cpu
         +. (params.Cost.backout_per_node
-           *. float_of_int (Digraph.node_count (Precedence.graph pg)));
+           *. float_of_int (Digraph.node_count graph));
       Backout.compute ~strategy pg
     end
   in

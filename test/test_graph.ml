@@ -236,6 +236,141 @@ let prop_cycles_are_cycles =
             walk cycle)
         (Scc.cycles ~limit:500 g))
 
+(* Differential check of the array kernel against a naive model: an
+   adjacency matrix over the live nodes, its transitive closure, and the
+   deduplicated edge list in insertion order. The graph under test is a
+   removal-mask view (made in two steps, as the back-out greedy does);
+   every query must also agree with the independent [induced] copy. *)
+
+let gen_masked_graph =
+  QCheck.make
+    ~print:(fun (n, edges, removed) ->
+      Printf.sprintf "n=%d edges=[%s] removed=[%s]" n
+        (String.concat " " (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
+        (String.concat " " (List.map string_of_int removed)))
+    QCheck.Gen.(
+      let* n = int_range 1 10 in
+      let* edges = list_size (int_range 0 45) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+      let* removed = list_size (int_bound 4) (int_bound (n - 1)) in
+      return (n, edges, removed))
+
+type model = {
+  live : bool array;
+  adj : bool array array;
+  reach : bool array array;  (* a path of length >= 1 *)
+  order : (int * int) list;  (* distinct live edges, first-insertion order *)
+}
+
+let model_of n edges removed =
+  let live = Array.init n (fun v -> not (List.mem v removed)) in
+  let order =
+    List.fold_left (fun acc e -> if List.mem e acc then acc else e :: acc) [] edges
+    |> List.rev
+    |> List.filter (fun (u, v) -> live.(u) && live.(v))
+  in
+  let adj = Array.make_matrix n n false in
+  List.iter (fun (u, v) -> adj.(u).(v) <- true) order;
+  let reach = Array.map Array.copy adj in
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
+      done
+    done
+  done;
+  { live; adj; reach; order }
+
+let live_nodes m = List.filter (fun v -> m.live.(v)) (List.init (Array.length m.live) Fun.id)
+
+(* Smallest (rank, id) first among nodes whose live predecessors are all
+   placed; [None] once none is ready but some remain. *)
+let model_topo ?(rank = Fun.id) m =
+  let placed = Array.make (Array.length m.live) false in
+  let ready v =
+    (not placed.(v)) && List.for_all (fun u -> placed.(u) || not m.adj.(u).(v)) (live_nodes m)
+  in
+  let rec go acc =
+    match List.filter ready (live_nodes m) with
+    | [] -> if List.length acc = List.length (live_nodes m) then Some (List.rev acc) else None
+    | c :: cs ->
+      let v = List.fold_left (fun b v -> if compare (rank v, v) (rank b, b) < 0 then v else b) c cs in
+      placed.(v) <- true;
+      go (v :: acc)
+  in
+  go []
+
+(* The named checks that fail on [g], none when it matches the model.
+   [pred_order] normalizes predecessor lists: an [induced] copy re-adds
+   edges grouped by source, so only a view keeps their insertion order. *)
+let disagreements ?(pred_order = Fun.id) m g =
+  let nodes = live_nodes m in
+  let same_scc u v = u = v || (m.reach.(u).(v) && m.reach.(v).(u)) in
+  let comps = Scc.components g in
+  let comp_index = Array.make (Array.length m.live) (-1) in
+  List.iteri (fun i c -> List.iter (fun v -> comp_index.(v) <- i) c) comps;
+  let rank v = (7 * v) mod 10 in
+  let succ_model u = List.filter_map (fun (a, b) -> if a = u then Some b else None) m.order in
+  let pred_model u = List.filter_map (fun (a, b) -> if b = u then Some a else None) m.order in
+  let every_node f = List.for_all f nodes in
+  let edges_model = List.concat_map (fun u -> List.map (fun v -> (u, v)) (succ_model u)) nodes in
+  List.filter_map
+    (fun (name, ok) -> if ok then None else Some name)
+    [
+      ("nodes", Digraph.nodes g = nodes);
+      ("node_count", Digraph.node_count g = List.length nodes);
+      ("edge_count", Digraph.edge_count g = List.length m.order);
+      ("edges", Digraph.edges g = edges_model);
+      ("successors", every_node (fun u -> Digraph.successors g u = succ_model u));
+      ( "predecessors",
+        every_node (fun u -> pred_order (Digraph.predecessors g u) = pred_order (pred_model u)) );
+      ( "degrees",
+        every_node (fun u ->
+            Digraph.out_degree g u = List.length (succ_model u)
+            && Digraph.in_degree g u = List.length (pred_model u)) );
+      ("mem_edge", every_node (fun u -> every_node (fun v -> Digraph.mem_edge g u v = m.adj.(u).(v))));
+      (* SCCs: a partition of the live nodes into mutual-reachability
+         classes, listed in topological order of the condensation. *)
+      ("scc partition", List.sort compare (List.concat comps) = nodes);
+      ( "scc classes",
+        every_node (fun u -> every_node (fun v -> same_scc u v = (comp_index.(u) = comp_index.(v)))) );
+      ("scc order", List.for_all (fun (u, v) -> comp_index.(u) <= comp_index.(v)) m.order);
+      ("nodes_on_cycles", Scc.nodes_on_cycles g = List.filter (fun v -> m.reach.(v).(v)) nodes);
+      ("is_acyclic", Scc.is_acyclic g = every_node (fun v -> not m.reach.(v).(v)));
+      ("two_cycles", Scc.two_cycles g = List.filter (fun (u, v) -> u < v && m.adj.(v).(u)) edges_model);
+      ("topo", Topo.sort g = model_topo m);
+      ("topo ~rank", Topo.sort ~rank g = model_topo ~rank m);
+    ]
+
+let prop_kernel_matches_model =
+  QCheck.Test.make ~count:500 ~name:"kernel = naive reachability model; view = induced copy"
+    gen_masked_graph (fun (n, edges, removed) ->
+      let g = Digraph.create n in
+      List.iter (fun (u, v) -> Digraph.add_edge g u v) edges;
+      let first, rest = match removed with [] -> ([], []) | r :: rs -> ([ r ], rs) in
+      let step = Digraph.view g in
+      List.iter (Digraph.remove_node step) first;
+      let masked = Digraph.view step in
+      List.iter (Digraph.remove_node masked) rest;
+      let copy = Digraph.induced g (fun v -> not (List.mem v removed)) in
+      let m = model_of n edges removed in
+      let failed =
+        List.map (( ^ ) "view: ") (disagreements m masked)
+        @ List.map (( ^ ) "induced: ") (disagreements ~pred_order:(List.sort compare) m copy)
+        @ List.filter_map
+            (fun (name, ok) -> if ok then None else Some name)
+            [
+              ("view components = induced components", Scc.components masked = Scc.components copy);
+              ( "view weak components = induced weak components",
+                Digraph.weakly_connected_components masked
+                = Digraph.weakly_connected_components copy );
+              (* removing nodes from a view leaves its source alone *)
+              ("source intact", Digraph.nodes g = List.init n Fun.id);
+              ( "first view intact",
+                Digraph.nodes step = List.filter (fun v -> not (List.mem v first)) (List.init n Fun.id) );
+            ]
+      in
+      failed = [] || QCheck.Test.fail_reportf "failed: %s" (String.concat ", " failed))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -260,7 +395,7 @@ let () =
           Alcotest.test_case "cycle enumeration" `Quick test_cycle_enumeration;
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
         ]
-        @ qsuite [ prop_scc_partition; prop_cycles_are_cycles ] );
+        @ qsuite [ prop_scc_partition; prop_cycles_are_cycles; prop_kernel_matches_model ] );
       ( "topo",
         [
           Alcotest.test_case "chain" `Quick test_topo_chain;

@@ -8,6 +8,7 @@ open Repro_precedence
 module Digraph = Repro_graph.Digraph
 module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
+module Reference = Test_support.Backout_reference
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -335,6 +336,26 @@ let prop_bnb_matches_oracle =
       Backout.breaks_all_cycles pg bnb
       && Names.Set.cardinal bnb = Names.Set.cardinal oracle)
 
+(* The mask-view heuristics against the plain induced-copy reference in
+   test/support: the very same set, not just the same size, on both the
+   narrow and the wide random graphs. *)
+
+let same_set_as_reference pg =
+  Names.Set.equal
+    (Backout.compute ~strategy:Backout.Greedy_degree pg)
+    (Reference.greedy_degree pg)
+  && Names.Set.equal
+       (Backout.compute ~strategy:Backout.Two_cycle_then_greedy pg)
+       (Reference.two_cycle_then_greedy pg)
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"greedy heuristics return the reference's set"
+    arbitrary_summary_case same_set_as_reference
+
+let prop_greedy_matches_reference_wide =
+  QCheck.Test.make ~count:200 ~name:"greedy heuristics return the reference's set (wide)"
+    arbitrary_wide_case same_set_as_reference
+
 (* ------------------------------------------------------------------ *)
 (* Incremental builder vs from-scratch build. *)
 
@@ -457,6 +478,8 @@ let () =
         qsuite [ prop_strategies_feasible; prop_exhaustive_minimal; prop_acyclic_empty_backout ]
       );
       ("branch-and-bound", qsuite [ prop_bnb_matches_oracle ]);
+      ( "reference",
+        qsuite [ prop_greedy_matches_reference; prop_greedy_matches_reference_wide ] );
       ( "builder",
         Alcotest.test_case "Example 1 incrementally" `Quick test_builder_example1
         :: Alcotest.test_case "clone isolation" `Quick test_builder_clone_isolation
