@@ -56,15 +56,17 @@ let add_edge g u v =
 
 let mem_edge g u v = mem_node g u && mem_node g v && stored_mem g.store.succ u v
 
-let iter_successors g u f =
+let iter_live g a u f =
   check g u;
   if g.alive.(u) then begin
-    let a = g.store.succ in
     let row = a.nbrs.(u) in
     for k = 0 to a.deg.(u) - 1 do
       if g.alive.(row.(k)) then f row.(k)
     done
   end
+
+let iter_successors g u f = iter_live g g.store.succ u f
+let iter_predecessors g u f = iter_live g g.store.pred u f
 
 (* Live neighbours of [u] in insertion order, and how many there are. *)
 let live_list g a u =
@@ -107,6 +109,46 @@ let nodes g =
 
 let edges g =
   List.concat_map (fun u -> List.map (fun v -> (u, v)) (successors g u)) (nodes g)
+
+(* Predecessor rows by counting: in-degrees first, then one fill pass by
+   source in increasing order, so every row is exactly sized. The stamp
+   array [seen] catches a repeated edge in O(1) per edge. *)
+let of_rows rows =
+  let n = Array.length rows in
+  let indeg = Array.make n 0 in
+  let seen = Array.make n (-1) in
+  let edges = ref 0 in
+  for u = 0 to n - 1 do
+    let row = rows.(u) in
+    for k = 0 to Array.length row - 1 do
+      let v = row.(k) in
+      if v < 0 || v >= n then invalid_arg "Digraph.of_rows: node out of range";
+      if seen.(v) = u then invalid_arg "Digraph.of_rows: repeated edge";
+      seen.(v) <- u;
+      indeg.(v) <- indeg.(v) + 1
+    done;
+    edges := !edges + Array.length row
+  done;
+  let pred = Array.map (fun d -> Array.make d 0) indeg in
+  let fill = Array.make n 0 in
+  for u = 0 to n - 1 do
+    let row = rows.(u) in
+    for k = 0 to Array.length row - 1 do
+      let v = row.(k) in
+      pred.(v).(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
+  {
+    store =
+      {
+        succ = { nbrs = rows; deg = Array.map Array.length rows };
+        pred = { nbrs = pred; deg = fill };
+        edges = !edges;
+      };
+    alive = Array.make n true;
+    live = n;
+  }
 
 let view g = { store = g.store; alive = Array.copy g.alive; live = g.live }
 

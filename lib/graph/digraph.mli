@@ -53,6 +53,10 @@ val predecessors : t -> int -> int list
     without building the list. *)
 val iter_successors : t -> int -> (int -> unit) -> unit
 
+(** [iter_predecessors g u f] applies [f] to {!predecessors}[ g u] in
+    order, without building the list. *)
+val iter_predecessors : t -> int -> (int -> unit) -> unit
+
 (** Number of live successors of [u] (0 when [u] is not live). *)
 val out_degree : t -> int -> int
 
@@ -65,6 +69,17 @@ val edges : t -> (int * int) list
 
 (** All live nodes in increasing order. *)
 val nodes : t -> int list
+
+(** [of_rows rows] is the graph over nodes [0 .. Array.length rows - 1],
+    all live, whose successors of [u] are [rows.(u)] in that order: the
+    graph {!create} followed by {!add_edge}[ g u v] for each [u] in
+    increasing order and each [v] of [rows.(u)] in order, so predecessor
+    lists come out in increasing source order. One O(n + edges) pass that
+    counts in-degrees first, so every predecessor row is exactly sized and
+    no row is scanned for duplicates. The graph takes ownership of [rows].
+    @raise Invalid_argument on an out-of-range target or a repeated
+    edge. *)
+val of_rows : int array array -> t
 
 (** [view g] is [g] with its own copy of the live mask and the same edge
     store: O(n), no edge is copied. {!remove_node} on either value leaves

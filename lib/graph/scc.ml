@@ -78,10 +78,16 @@ let is_acyclic g =
   | () -> true
   | exception Cyclic -> false
 
+(* One pass over the edges: stamp [u]'s predecessors with [u], then keep
+   each later successor that carries the stamp. *)
 let two_cycles g =
-  List.filter_map
-    (fun (u, v) -> if u < v && Digraph.mem_edge g v u then Some (u, v) else None)
-    (Digraph.edges g)
+  let mark = Array.make (Digraph.size g) (-1) in
+  let found = ref [] in
+  for u = 0 to Digraph.size g - 1 do
+    Digraph.iter_predecessors g u (fun p -> mark.(p) <- u);
+    Digraph.iter_successors g u (fun v -> if v > u && mark.(v) = u then found := (u, v) :: !found)
+  done;
+  List.rev !found
 
 exception Limit_reached
 

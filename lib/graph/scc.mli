@@ -20,8 +20,8 @@ val is_acyclic : Digraph.t -> bool
 
 (** [two_cycles g] — all unordered pairs [(u, v)], [u < v], with both
     [u -> v] and [v -> u], ordered by [u], then by the insertion order of
-    [u -> v]. Davidson's "breaking two-cycles optimally" strategy
-    consumes these. *)
+    [u -> v]. O(n + edges): each node's predecessors are stamped once, so
+    no edge list is built and no adjacency row is scanned per edge. *)
 val two_cycles : Digraph.t -> (int * int) list
 
 (** [cycles ?limit g] enumerates elementary cycles (as node lists) up to

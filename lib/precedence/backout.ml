@@ -93,19 +93,25 @@ let greedy_damage pg =
   greedy_loop pg ~already_removed:Names.Set.empty ~pick:(fun _ removed ->
       argmin (fun i -> damage (Names.Set.add (name_of pg i) removed)))
 
+(* Every tentative endpoint of a two-cycle is forced. A two-cycle inside
+   one history is impossible (edges point forward), so each one has a
+   tentative endpoint and the pass is anchored on the session: for each
+   tentative node, stamp its predecessors and look for a stamped
+   successor. O(session · degree), not a pass over every edge. *)
 let two_cycle_then_greedy pg =
   let g = Precedence.graph pg in
-  let forced =
-    List.fold_left
-      (fun acc (u, v) ->
-        let su = Precedence.summary_of_node pg u and sv = Precedence.summary_of_node pg v in
-        (* A two-cycle inside one history is impossible (edges point
-           forward), so exactly one endpoint is tentative; it is forced. *)
-        let acc = if Summary.is_tentative su then Names.Set.add su.Summary.name acc else acc in
-        if Summary.is_tentative sv then Names.Set.add sv.Summary.name acc else acc)
-      Names.Set.empty (Scc.two_cycles g)
-  in
-  Names.Set.union forced (greedy pg ~already_removed:forced)
+  let mark = Array.make (Digraph.size g) (-1) in
+  let forced = ref Names.Set.empty in
+  Array.iteri
+    (fun t (s : Summary.t) ->
+      if Summary.is_tentative s then begin
+        Digraph.iter_predecessors g t (fun p -> mark.(p) <- t);
+        let on_two_cycle = ref false in
+        Digraph.iter_successors g t (fun v -> if v <> t && mark.(v) = t then on_two_cycle := true);
+        if !on_two_cycle then forced := Names.Set.add s.Summary.name !forced
+      end)
+    (Precedence.summaries pg);
+  Names.Set.union !forced (greedy pg ~already_removed:!forced)
 
 (* ------------------------------------------------------------------ *)
 (* Compact cyclic core, shared by the two exact solvers.

@@ -163,11 +163,12 @@ let analyze_graph ?base_builder ~strategy ~params ~cost ~base_history ~origin ~t
   let tent_summaries = Summary.of_execution ~kind:Summary.Tentative tentative_exec in
   let pg =
     match base_builder with
-    | Some b ->
-      (* The caller maintains a builder mirroring [base_history]; fork it,
-         extend with this session's tentative transactions, materialize —
-         the base-side pairwise scan is never repaid. *)
-      let fork = Builder.clone b in
+    | Some fork ->
+      (* The caller's own fork of a builder mirroring [base_history]:
+         extend it in place with this session's tentative transactions and
+         materialize — the base-side pairwise scan is never repaid, and
+         the caller can later commit the fork as the merged history's
+         builder. *)
       Builder.add_all fork tent_summaries;
       Builder.to_precedence fork
     | None ->

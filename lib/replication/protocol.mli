@@ -81,7 +81,8 @@ type merge_report = {
     [tentative] (executed from [origin] on the mobile) into the base,
     whose logical history since the common [origin] is [base_history].
     The base engine's state is updated (forwarded updates plus
-    re-executions). *)
+    re-executions). [?base_builder] is as for {!analyze_graph}: it is
+    extended in place. *)
 val merge :
   ?base_builder:Repro_precedence.Builder.t ->
   config:merge_config ->
@@ -111,10 +112,14 @@ type graph_phase = {
 }
 
 (** [?base_builder], when given, must be an incremental
-    {!Repro_precedence.Builder} mirroring exactly [base_history]; the
-    graph is then obtained by cloning it and adding the tentative
-    summaries — proportional to the session delta — instead of the
-    from-scratch pairwise scan of {!Repro_precedence.Precedence.build}. *)
+    {!Repro_precedence.Builder} mirroring exactly [base_history] that the
+    caller owns — typically a {!Repro_precedence.Builder.clone} of a
+    long-lived one. The tentative summaries are added to it {e in place}
+    (work proportional to the session) and the graph is materialized from
+    it, instead of the from-scratch pairwise scan of
+    {!Repro_precedence.Precedence.build}. After a completed merge the
+    caller may {!Repro_precedence.Builder.commit} it as the builder of
+    [new_history]. *)
 val analyze_graph :
   ?base_builder:Repro_precedence.Builder.t ->
   strategy:Backout.strategy ->

@@ -132,7 +132,7 @@ let run_trace config workload trace =
       m.window_started <- !window.Window.index
     | Strategy1 ->
       m.origin <- Engine.state base;
-      m.origin_pos <- List.length !window.Window.history);
+      m.origin_pos <- List.length (Window.history !window));
     m.engine <- Engine.create m.origin
   in
 
@@ -145,16 +145,13 @@ let run_trace config workload trace =
       if n = 0 then ([], l)
       else match l with [] -> ([], []) | x :: tl -> let a, b = split_at (n - 1) tl in (x :: a, b)
     in
-    let prefix, suffix = split_at m.origin_pos w.Window.history in
+    let prefix, suffix = split_at m.origin_pos (Window.history w) in
     if not (State.equal (Window.replay workload.initial prefix) m.origin) then begin
       incr anomalies;
       Obs.Counter.incr obs_anomalies;
       Window.reprocess w ~origin:m.origin history
     end
-    else
-      match Window.attempt_merge w mc ~base_history:suffix ~origin:m.origin history with
-      | Some report -> Window.merged w ~prefix report
-      | None -> Window.reprocess w ~origin:m.origin history
+    else Window.merge w mc ~prefix ~base_history:suffix ~origin:m.origin history
   in
 
   let handle_connect m =

@@ -3,6 +3,7 @@ open Repro_history
 module Engine = Repro_db.Engine
 module Builder = Repro_precedence.Builder
 module Summary = Repro_precedence.Summary
+module Obs = Repro_obs.Obs
 
 type protocol = Merging of Protocol.merge_config | Reprocessing
 
@@ -70,7 +71,7 @@ type t = {
   tally : tally;
   origin : State.t;
   index : int;
-  mutable history : Protocol.base_txn list;
+  mutable rev_history : Protocol.base_txn list;
   mutable builder : Builder.t option;
 }
 
@@ -83,7 +84,7 @@ let create ?runner ~incremental ~protocol ~params ~base ~origin ~index tally =
     tally;
     origin;
     index;
-    history = [];
+    rev_history = [];
     builder = (if incremental then Some (Builder.create ()) else None);
   }
 
@@ -92,18 +93,21 @@ let next t =
     t with
     origin = Engine.state t.base;
     index = t.index + 1;
-    history = [];
+    rev_history = [];
     builder = Option.map (fun _ -> Builder.create ()) t.builder;
   }
 
-let extend b txns =
-  List.iter
-    (fun (bt : Protocol.base_txn) -> Builder.add b (Summary.of_record ~kind:Summary.Base bt.Protocol.record))
-    txns
+let history t = List.rev t.rev_history
 
 let append t txns =
-  t.history <- t.history @ txns;
-  Option.iter (fun b -> extend b txns) t.builder
+  t.rev_history <- List.rev_append txns t.rev_history;
+  Option.iter
+    (fun b ->
+      List.iter
+        (fun (bt : Protocol.base_txn) ->
+          Builder.add b (Summary.of_record ~kind:Summary.Base bt.Protocol.record))
+        txns)
+    t.builder
 
 let base_txn t program =
   let record = Engine.execute t.base program in
@@ -122,55 +126,79 @@ let reprocess t ~origin history =
   append t report.Protocol.appended;
   count t.tally report.Protocol.txns report.Protocol.cost
 
-(* A session abandoned mid-merge is a distinct failure mode from the
+(* The merge runs against a fork of the window's builder, which the
+   window owns: extended in place by [Protocol.merge] (or, after a
+   runner's merge, by the window with the same session), then relabelled
+   into the builder of the new history. An aborted merge drops the fork,
+   so the window's builder never sees the session.
+
+   A session abandoned mid-merge is a distinct failure mode from the
    Strategy-1 snapshot anomaly: it is counted in [aborted_merges], never
    as an anomaly, so E2's headline number stays comparable whether or not
    faults are on. *)
-let attempt_merge t config ~base_history ~origin tentative =
-  match t.runner with
-  | None ->
-      Some
-        (Protocol.merge ?base_builder:t.builder ~config ~params:t.params ~base:t.base
-           ~base_history ~origin ~tentative ())
-  | Some run -> (
-      match run ~config ~params:t.params ~base:t.base ~base_history ~origin ~tentative with
-      | Merge_completed report -> Some report
-      | Merge_aborted _reason ->
-          t.tally.aborted_merges <- t.tally.aborted_merges + 1;
-          None)
+let merge t config ~prefix ~base_history ~origin tentative =
+  if prefix <> [] && Option.is_some t.builder then
+    invalid_arg "Window.merge: a window with a builder merges against its whole history";
+  let fork = Option.map Builder.clone t.builder in
+  let completed =
+    match t.runner with
+    | None ->
+        Some
+          (Protocol.merge ?base_builder:fork ~config ~params:t.params ~base:t.base ~base_history
+             ~origin ~tentative ())
+    | Some run -> (
+        match run ~config ~params:t.params ~base:t.base ~base_history ~origin ~tentative with
+        | Merge_completed report ->
+            Option.iter
+              (fun f ->
+                Builder.add_all f
+                  (Summary.of_execution ~kind:Summary.Tentative (History.execute origin tentative)))
+              fork;
+            Some report
+        | Merge_aborted _reason ->
+            t.tally.aborted_merges <- t.tally.aborted_merges + 1;
+            None)
+  in
+  match completed with
+  | None -> reprocess t ~origin tentative
+  | Some report ->
+      let new_history = report.Protocol.new_history in
+      Option.iter
+        (fun f ->
+          (* The merged core (every name outside B) comes first, then the
+             re-executions of backed-out transactions. *)
+          let backed_out (bt : Protocol.base_txn) =
+            Names.Set.mem bt.Protocol.program.Program.name report.Protocol.backed_out
+          in
+          let appended, core = List.partition backed_out new_history in
+          Builder.commit f
+            ~core:(List.map (fun (bt : Protocol.base_txn) -> bt.Protocol.program.Program.name) core)
+            ~appended:
+              (List.map
+                 (fun (bt : Protocol.base_txn) -> Summary.of_record ~kind:Summary.Base bt.Protocol.record)
+                 appended);
+          t.builder <- Some f)
+        fork;
+      t.rev_history <- List.rev_append new_history (List.rev prefix);
+      t.tally.merges <- t.tally.merges + 1;
+      count t.tally report.Protocol.txns report.Protocol.cost
 
-(* A merge reorders the history, so the builder restarts from the new
-   one: an O(window) pass after every successful merge. *)
-let merged t ~prefix (report : Protocol.merge_report) =
-  t.history <- prefix @ report.Protocol.new_history;
-  t.builder <-
-    Option.map
-      (fun _ ->
-        let b = Builder.create () in
-        extend b t.history;
-        b)
-      t.builder;
-  t.tally.merges <- t.tally.merges + 1;
-  count t.tally report.Protocol.txns report.Protocol.cost
-
-let session t ~started ~origin history =
+let session t ~started ~origin tentative =
   match t.protocol with
-  | Reprocessing -> reprocess t ~origin history
+  | Reprocessing -> reprocess t ~origin tentative
   | Merging _ when started < t.index ->
       (* Connected too late: the history began in an expired window. *)
       t.tally.late_sessions <- t.tally.late_sessions + 1;
-      t.tally.late_txns <- t.tally.late_txns + History.length history;
-      reprocess t ~origin history
-  | Merging mc -> (
-      match attempt_merge t mc ~base_history:t.history ~origin:t.origin history with
-      | Some report -> merged t ~prefix:[] report
-      | None -> reprocess t ~origin history)
+      t.tally.late_txns <- t.tally.late_txns + History.length tentative;
+      reprocess t ~origin tentative
+  | Merging mc -> merge t mc ~prefix:[] ~base_history:(history t) ~origin:t.origin tentative
 
 let replay s0 history =
   List.fold_left (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program) s0 history
 
 let check ?on t =
-  let replayed = replay t.origin t.history in
+  Obs.Span.with_ ~name:"check.window" @@ fun () ->
+  let replayed = replay t.origin (history t) in
   match on with
   | None -> State.equal replayed (Engine.state t.base)
   | Some items -> State.equal_on items replayed (Engine.state t.base)

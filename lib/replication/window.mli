@@ -4,8 +4,11 @@
     since that origin; and an incremental precedence {!Builder} that
     mirrors the history, so a reconnect's graph costs the session delta
     rather than a pairwise scan of the whole window. Base commits and
-    reprocessed appends extend the builder in place. A successful merge
-    reorders the history, so the builder is rebuilt from the new one.
+    reprocessed appends extend the builder in place. Each merge runs on a
+    fork of the builder that the window owns; a successful merge reorders
+    the history, and the fork that analysed the session is relabelled
+    into the new history's builder ({!Repro_precedence.Builder.commit})
+    rather than rebuilt. An aborted merge drops the fork.
 
     This is the one copy of Strategy 2's state machine. The serial
     simulator ({!Sync}) drives one window after another against its base
@@ -13,8 +16,9 @@
     against a scratch engine. Strategy 1 uses a window that never closes
     and has no builder: its per-mobile snapshots share no common graph.
 
-    The window records nothing to {!Repro_obs.Obs} itself; its callers
-    own their counters and spans. *)
+    The window records only the [check.window] span of its ground-truth
+    replay ({!check}) to {!Repro_obs.Obs}; its callers own every other
+    counter and span. *)
 
 open Repro_txn
 open Repro_history
@@ -69,8 +73,9 @@ type t = private {
   tally : tally;  (** shared by every window of one run *)
   origin : State.t;  (** base state when the window opened *)
   index : int;
-  mutable history : Protocol.base_txn list;  (** logical base history since [origin] *)
-  mutable builder : Repro_precedence.Builder.t option;  (** mirrors [history] *)
+  mutable rev_history : Protocol.base_txn list;
+      (** logical base history since [origin], newest first (see {!history}) *)
+  mutable builder : Repro_precedence.Builder.t option;  (** mirrors the history *)
 }
 
 (** [create ?runner ~incremental ~protocol ~params ~base ~origin ~index
@@ -106,19 +111,27 @@ val session : t -> started:int -> origin:State.t -> History.t -> unit
     it commits. *)
 val reprocess : t -> origin:State.t -> History.t -> unit
 
-(** One merge attempt through the runner, if any. [None] means the
-    runner aborted; the attempt is counted and the base is untouched. *)
-val attempt_merge :
+(** [merge t config ~prefix ~base_history ~origin tentative] merges the
+    session [tentative] (run from [origin]) against [base_history], the
+    window's history after [prefix], through the runner if any. A
+    completed merge makes the history [prefix] followed by the merge's
+    new history and counts it. An aborted one is counted in
+    {!tally.aborted_merges}, leaves the base and the builder untouched,
+    and the session is reprocessed instead.
+    @raise Invalid_argument for a non-empty [prefix] on a window with a
+    builder, which mirrors the whole history. *)
+val merge :
   t ->
   Protocol.merge_config ->
+  prefix:Protocol.base_txn list ->
   base_history:Protocol.base_txn list ->
   origin:State.t ->
   History.t ->
-  Protocol.merge_report option
+  unit
 
-(** Count a completed merge and install [prefix] followed by its new
-    history as the window's history. *)
-val merged : t -> prefix:Protocol.base_txn list -> Protocol.merge_report -> unit
+(** The logical base history since the origin, oldest first. Appends
+    are O(1); this materializes the list, in O(length). *)
+val history : t -> Protocol.base_txn list
 
 (** [replay s0 history] applies each transaction's program in order. *)
 val replay : State.t -> Protocol.base_txn list -> State.t

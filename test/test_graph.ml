@@ -371,6 +371,29 @@ let prop_kernel_matches_model =
       in
       failed = [] || QCheck.Test.fail_reportf "failed: %s" (String.concat ", " failed))
 
+(* [Digraph.of_rows] is the graph that adds each row's edges in source
+   order, so the model sees the deduplicated edges grouped by source. *)
+let prop_of_rows_matches_model =
+  QCheck.Test.make ~count:300 ~name:"of_rows = add_edge by source order (model)" gen_masked_graph
+    (fun (n, edges, _) ->
+      let distinct =
+        List.rev
+          (List.fold_left (fun acc e -> if List.mem e acc then acc else e :: acc) [] edges)
+      in
+      let by_source = List.stable_sort (fun (u, _) (v, _) -> compare u v) distinct in
+      let rows =
+        Array.init n (fun u ->
+            Array.of_list (List.filter_map (fun (a, b) -> if a = u then Some b else None) by_source))
+      in
+      let failed = disagreements (model_of n by_source []) (Digraph.of_rows rows) in
+      failed = [] || QCheck.Test.fail_reportf "failed: %s" (String.concat ", " failed))
+
+let test_of_rows_rejects () =
+  Alcotest.check_raises "repeated edge" (Invalid_argument "Digraph.of_rows: repeated edge")
+    (fun () -> ignore (Digraph.of_rows [| [| 1; 1 |]; [||] |]));
+  Alcotest.check_raises "out of range" (Invalid_argument "Digraph.of_rows: node out of range")
+    (fun () -> ignore (Digraph.of_rows [| [| 2 |]; [||] |]))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -383,8 +406,9 @@ let () =
           Alcotest.test_case "induced subgraph" `Quick test_induced;
           Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "weak components" `Quick test_weak_components;
+          Alcotest.test_case "of_rows rejects bad rows" `Quick test_of_rows_rejects;
         ]
-        @ qsuite [ prop_wcc_partition; prop_wcc_connected ] );
+        @ qsuite [ prop_wcc_partition; prop_wcc_connected; prop_of_rows_matches_model ] );
       ( "scc",
         [
           Alcotest.test_case "ring" `Quick test_scc_ring;

@@ -256,6 +256,226 @@ let prop_merge_replay_with_blind_writes =
       in
       State.equal replayed (Engine.state engine))
 
+(* ------------------------------------------------------------------ *)
+(* The window builder: relabel after a merge = rebuild from scratch *)
+
+module Builder = Repro_precedence.Builder
+module Summary = Repro_precedence.Summary
+module Precedence = Repro_precedence.Precedence
+module Backout = Repro_precedence.Backout
+module Digraph = Repro_graph.Digraph
+
+let window_bank = Banking.make ~n_accounts:5
+
+(* A banking-style transaction, or with probability 1/4 a blind write: an
+   account set to a constant without being read. *)
+let window_txn rng ~name =
+  if Rng.int rng 4 = 0 then
+    Program.make ~name ~ttype:"reset"
+      [ Stmt.Assign (Printf.sprintf "acct%d" (Rng.int rng 5), Expr.Const (Rng.in_range rng 0 200)) ]
+  else Banking.random_transaction window_bank rng ~name ~commuting_bias:0.5
+
+let window_programs rng ~prefix ~length =
+  List.init length (fun i -> window_txn rng ~name:(Printf.sprintf "%s%d" prefix (i + 1)))
+
+(* One window: a base history, a session merged against it, and a second
+   session that arrives after the merge. Sessions run from the window
+   origin, as under Strategy 2. *)
+type window_case = {
+  base_programs : Program.t list;
+  session : History.t;
+  next_session : History.t;
+  strategy : Backout.strategy;
+}
+
+let window_case_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* base_len = int_range 0 14 in
+    let* session_len = int_range 1 8 in
+    let* next_len = int_range 1 6 in
+    let* strategy =
+      oneofl
+        Backout.[ Greedy_degree; Two_cycle_then_greedy; Greedy_damage; All_in_cycles; Branch_and_bound ]
+    in
+    let rng = Rng.create seed in
+    let base_programs = window_programs rng ~prefix:"Tb" ~length:base_len in
+    let session = History.of_programs (window_programs rng ~prefix:"Tm" ~length:session_len) in
+    let next_session = History.of_programs (window_programs rng ~prefix:"Tn" ~length:next_len) in
+    return { base_programs; session; next_session; strategy })
+
+let arbitrary_window_case =
+  QCheck.make
+    ~print:(fun c ->
+      Format.asprintf "@[<v>strategy=%s@ base: %a@ session: %a@ next: %a@]"
+        (Backout.strategy_name c.strategy)
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Program.pp)
+        c.base_programs
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Program.pp)
+        (History.programs c.session)
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Program.pp)
+        (History.programs c.next_session))
+    window_case_gen
+
+let window_origin = Banking.initial_state window_bank
+
+let run_base engine programs =
+  List.map (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p }) programs
+
+let base_summary (bt : Protocol.base_txn) = Summary.of_record ~kind:Summary.Base bt.Protocol.record
+
+let builder_of history =
+  let b = Builder.create () in
+  Builder.add_all b (List.map base_summary history);
+  b
+
+let tentative_summaries session =
+  Summary.of_execution ~kind:Summary.Tentative (History.execute window_origin session)
+
+let same_summary (a : Summary.t) (b : Summary.t) =
+  a.Summary.name = b.Summary.name
+  && a.Summary.kind = b.Summary.kind
+  && Item.Set.equal a.Summary.readset b.Summary.readset
+  && Item.Set.equal a.Summary.writeset b.Summary.writeset
+
+(* Materialized graphs agree on node numbering and summaries, on every
+   successor row in order, and on the verdict. *)
+let same_graph a b =
+  let pa = Builder.to_precedence a and pb = Builder.to_precedence b in
+  Array.length (Precedence.summaries pa) = Array.length (Precedence.summaries pb)
+  && Array.for_all2 same_summary (Precedence.summaries pa) (Precedence.summaries pb)
+  && Digraph.edges (Precedence.graph pa) = Digraph.edges (Precedence.graph pb)
+  && Builder.is_acyclic a = Builder.is_acyclic b
+  && Precedence.is_acyclic pa = Precedence.is_acyclic pb
+
+let config_for strategy = { Protocol.default_merge_config with Protocol.strategy }
+
+let prop_commit_equals_rebuild =
+  QCheck.Test.make ~count:400 ~name:"Builder.commit after a merge = fresh build of new_history"
+    arbitrary_window_case
+    (fun c ->
+      let engine = Engine.create window_origin in
+      let base_history = run_base engine c.base_programs in
+      let fork = Builder.clone (builder_of base_history) in
+      let report =
+        Protocol.merge ~base_builder:fork ~config:(config_for c.strategy)
+          ~params:Cost.default_params ~base:engine ~base_history ~origin:window_origin
+          ~tentative:c.session ()
+      in
+      let backed_out (bt : Protocol.base_txn) =
+        Names.Set.mem bt.Protocol.program.Program.name report.Protocol.backed_out
+      in
+      let appended, core = List.partition backed_out report.Protocol.new_history in
+      Builder.commit fork
+        ~core:(List.map (fun (bt : Protocol.base_txn) -> bt.Protocol.program.Program.name) core)
+        ~appended:(List.map base_summary appended);
+      let fresh = builder_of report.Protocol.new_history in
+      let next = tentative_summaries c.next_session in
+      let extend b =
+        let b = Builder.clone b in
+        Builder.add_all b next;
+        b
+      in
+      Builder.equal fork fresh && same_graph fork fresh && Builder.is_acyclic fork
+      && Builder.length fork = List.length report.Protocol.new_history
+      && Builder.equal (extend fork) (extend fresh)
+      && same_graph (extend fork) (extend fresh))
+
+(* The builder path and the from-scratch path of [Protocol.merge] decide
+   the same merge. Branch and bound may pick another optimum on the
+   builder's successor order, so only its size and feasibility are
+   compared. *)
+let prop_builder_path_equals_scratch =
+  QCheck.Test.make ~count:300 ~name:"Protocol.merge ~base_builder = from-scratch merge"
+    arbitrary_window_case
+    (fun c ->
+      let merge ~incremental strategy =
+        let engine = Engine.create window_origin in
+        let base_history = run_base engine c.base_programs in
+        let base_builder = if incremental then Some (builder_of base_history) else None in
+        ( base_history,
+          Protocol.merge ?base_builder ~config:(config_for strategy) ~params:Cost.default_params
+            ~base:engine ~base_history ~origin:window_origin ~tentative:c.session () )
+      in
+      let names (r : Protocol.merge_report) =
+        List.map (fun (bt : Protocol.base_txn) -> bt.Protocol.program.Program.name) r.Protocol.new_history
+      in
+      let same (a : Protocol.merge_report) (b : Protocol.merge_report) =
+        Names.Set.equal a.Protocol.bad b.Protocol.bad
+        && Names.Set.equal a.Protocol.saved b.Protocol.saved
+        && Names.Set.equal a.Protocol.backed_out b.Protocol.backed_out
+        && names a = names b
+        && a.Protocol.cost = b.Protocol.cost
+      in
+      List.for_all
+        (fun strategy ->
+          let _, incremental = merge ~incremental:true strategy in
+          let _, scratch = merge ~incremental:false strategy in
+          same incremental scratch)
+        Backout.[ Greedy_degree; Two_cycle_then_greedy; Greedy_damage; All_in_cycles ]
+      &&
+      let base_history, incremental = merge ~incremental:true Backout.Branch_and_bound in
+      let _, scratch = merge ~incremental:false Backout.Branch_and_bound in
+      let pg =
+        Precedence.build ~tentative:(tentative_summaries c.session)
+          ~base:(List.map base_summary base_history)
+      in
+      Names.Set.cardinal incremental.Protocol.bad = Names.Set.cardinal scratch.Protocol.bad
+      && Backout.breaks_all_cycles pg incremental.Protocol.bad)
+
+(* A window whose merges go through [runner], after [base] commits. *)
+let window_with runner base =
+  let engine = Engine.create window_origin in
+  let w =
+    Window.create ~runner ~incremental:true
+      ~protocol:(Window.Merging Protocol.default_merge_config) ~params:Cost.default_params
+      ~base:engine ~origin:window_origin ~index:0 (Window.tally ())
+  in
+  List.iter (fun p -> ignore (Window.base_txn w p)) base;
+  w
+
+let window_session_case () =
+  let rng = Rng.create 7 in
+  let base = window_programs rng ~prefix:"Tb" ~length:10 in
+  let session = History.of_programs (window_programs rng ~prefix:"Tm" ~length:6) in
+  (base, session)
+
+let test_window_aborted_merge_keeps_builder () =
+  let base, session = window_session_case () in
+  let w =
+    window_with
+      (fun ~config:_ ~params:_ ~base:_ ~base_history:_ ~origin:_ ~tentative:_ ->
+        Window.Merge_aborted "link down")
+      base
+  in
+  let builder = Option.get w.Window.builder in
+  let before = Builder.clone builder in
+  let n = List.length (Window.history w) in
+  Window.session w ~started:0 ~origin:window_origin session;
+  checki "merge aborted" 1 w.Window.tally.Window.aborted_merges;
+  checki "no merge counted" 0 w.Window.tally.Window.merges;
+  checkb "the window keeps its builder" true (Option.get w.Window.builder == builder);
+  (* The merge never touched the builder; the reprocessing fallback only
+     appended its re-executions. *)
+  let reprocessed = List.filteri (fun i _ -> i >= n) (Window.history w) in
+  Builder.add_all before (List.map base_summary reprocessed);
+  checkb "builder = before + reprocessed appends" true (Builder.equal before builder)
+
+let test_window_runner_merge_commits () =
+  let base, session = window_session_case () in
+  let w =
+    window_with
+      (fun ~config ~params ~base ~base_history ~origin ~tentative ->
+        Window.Merge_completed
+          (Protocol.merge ~config ~params ~base ~base_history ~origin ~tentative ()))
+      base
+  in
+  Window.session w ~started:0 ~origin:window_origin session;
+  checki "merged" 1 w.Window.tally.Window.merges;
+  checkb "builder = fresh build of the merged history" true
+    (Builder.equal (Option.get w.Window.builder) (builder_of (Window.history w)));
+  checkb "ground truth" true (Window.check w)
+
 let test_accept_same_shape () =
   let guarded =
     Program.make ~name:"G" ~ttype:"guarded"
@@ -453,6 +673,14 @@ let () =
             test_merge_cheaper_when_everything_saved;
         ]
         @ qsuite [ prop_merge_state_replay; prop_merge_replay_with_blind_writes ] );
+      ( "window",
+        [
+          Alcotest.test_case "aborted merge keeps the builder" `Quick
+            test_window_aborted_merge_keeps_builder;
+          Alcotest.test_case "runner merge commits the fork" `Quick
+            test_window_runner_merge_commits;
+        ]
+        @ qsuite [ prop_commit_equals_rebuild; prop_builder_path_equals_scratch ] );
       ( "sync",
         [
           Alcotest.test_case "Strategy 2 serializable" `Slow test_sync_strategy2_serializable;
